@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench baseline bench-compare ci-bench ci-seq ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint build test race bench baseline bench-compare ci-bench ci-service ci-restart ci-fleet fmt-check golden-update profile
 
-ci: fmt-check vet lint build race ci-seq ci-bench ci-service ci-restart ci-fleet
+ci: fmt-check vet lint build race ci-bench ci-service ci-restart ci-fleet
 
 vet:
 	$(GO) vet ./...
@@ -56,14 +56,6 @@ ci-fleet:
 # an intentional output change:
 golden-update:
 	$(GO) test ./internal/experiments -run TestGoldenReports -update
-
-# Sequential-mode gate: the equivalence suites (fast-forward, parallel
-# stepping) once more with GPUSIMPOW_SIM_WORKERS=1 forced process-wide, so
-# the reference path stays exercised even on many-core CI hosts where the
-# default run parallelizes. (TestParallelEquivalence pins its own worker
-# counts via the config knob, which the env override does not reach there.)
-ci-seq:
-	GPUSIMPOW_SIM_WORKERS=1 $(GO) test ./internal/sim -run 'Equivalence'
 
 # Profile one scenario run end to end with the gpowexp pprof flags:
 #   make profile SCENARIO=fig6a

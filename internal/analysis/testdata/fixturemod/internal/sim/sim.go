@@ -37,10 +37,10 @@ func Run(cfg *config.GPU, counts map[string]int) float64 {
 	return total
 }
 
-// mergeShards mimics the parallel stepper's cycle-barrier merge: combining
-// per-worker activity shards by ranging over an unsorted map makes the
-// accumulated floating-point totals (and any order-sensitive replay) depend
-// on Go's randomized map order — exactly the bug class detrange exists for.
+// mergeShards sums per-shard totals with a value-only range over a map:
+// the floating-point total still depends on Go's randomized map order, so
+// detrange must flag a range that never names the key just as it flags one
+// that does.
 func mergeShards(shards map[int]float64) float64 {
 	var total float64
 	for _, shard := range shards { // unsorted shard merge

@@ -151,6 +151,7 @@ func TestValidateCatchesBreakage(t *testing.T) {
 		{"zero clusters", func(g *GPU) { g.Clusters = 0 }},
 		{"warp size not pow2", func(g *GPU) { g.WarpSize = 24 }},
 		{"thread/warp mismatch", func(g *GPU) { g.MaxThreadsPerCore = 100 }},
+		{"warps beyond mask width", func(g *GPU) { g.MaxWarpsPerCore = 65; g.MaxThreadsPerCore = 65 * g.WarpSize }},
 		{"too many FUs", func(g *GPU) { g.FUsPerCore = 64 }},
 		{"zero SFUs", func(g *GPU) { g.SFUsPerCore = 0 }},
 		{"zero schedulers", func(g *GPU) { g.Schedulers = 0 }},

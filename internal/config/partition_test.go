@@ -93,17 +93,3 @@ func TestTimingPartitionExhaustive(t *testing.T) {
 		}
 	}
 }
-
-// TestSimWorkersIsTimingNeutral pins the intra-simulation parallelism knob
-// outside the timing key: a parallel run and a sequential run of the same
-// configuration must share cached timing results (the two paths are proven
-// bit-identical by the sim package's TestParallelEquivalence). If someone
-// encodes SimWorkers in appendTimingFields, this test and the exhaustive
-// perturbation test above both fail.
-func TestSimWorkersIsTimingNeutral(t *testing.T) {
-	a, b := GT240(), GT240()
-	b.SimWorkers = 8
-	if a.TimingKey() != b.TimingKey() {
-		t.Fatalf("SimWorkers moved the timing key: parallel and sequential runs would stop sharing cache entries")
-	}
-}

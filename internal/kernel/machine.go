@@ -53,11 +53,6 @@ type Env struct {
 	Global *GlobalMem
 	Const  *ConstMem
 	Block  *BlockCtx
-	// Capture, when non-nil, defers the Global side of Ld/St/AtomAdd: Exec
-	// records the operations instead of performing them and the owner
-	// replays them later in order (see GlobalCapture). Shared memory,
-	// constants and parameters are unaffected.
-	Capture *GlobalCapture
 }
 
 // Warp is the architectural state of one warp: per-lane registers and the
@@ -457,29 +452,17 @@ func (w *Warp) execData(in *Instr, execMask uint32, env *Env, info *StepInfo) er
 			info.Addrs[l] = addr
 			switch in.Op {
 			case OpLd:
-				if gc := env.Capture; gc != nil && (in.Space == SpaceGlobal || in.Space == SpaceTexture) {
-					gc.captureLoad(w, dstOffOf(in), l, addr)
-					continue
-				}
 				v, err := w.load(in.Space, addr, env)
 				if err != nil {
 					return err
 				}
 				d = v
 			case OpSt:
-				if gc := env.Capture; gc != nil && in.Space == SpaceGlobal {
-					gc.captureStore(addr, b)
-					continue
-				}
 				if err := w.store(in.Space, addr, b, env); err != nil {
 					return err
 				}
 				continue
 			case OpAtomAdd:
-				if gc := env.Capture; gc != nil {
-					gc.captureAtomAdd(w, dstOffOf(in), l, addr, b)
-					continue
-				}
 				old := env.Global.Read32(addr)
 				env.Global.Write32(addr, old+b)
 				d = old
@@ -492,15 +475,6 @@ func (w *Warp) execData(in *Instr, execMask uint32, env *Env, info *StepInfo) er
 		}
 	}
 	return nil
-}
-
-// dstOffOf returns the flat Regs offset of the destination row, -1 if the
-// instruction writes no register (the capture-path analogue of HasDst).
-func dstOffOf(in *Instr) int32 {
-	if in.HasDst {
-		return int32(in.Dst) * WarpSize
-	}
-	return -1
 }
 
 func (w *Warp) load(space Space, addr uint32, env *Env) (uint32, error) {

@@ -84,13 +84,6 @@ func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return results, firstError(errs)
 	}
 
-	// Register the pool's extra threads with the shared worker budget so
-	// intra-simulation parallelism (internal/sim's elastic SimWorkers auto
-	// mode) sizes itself around the sweep-level fan-out instead of
-	// multiplying with it.
-	ReserveWorkers(workers - 1)
-	defer ReleaseWorkers(workers - 1)
-
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -183,3 +176,12 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared
 
 // errFlightPanicked is handed to waiters whose leader's fn panicked.
 var errFlightPanicked = errors.New("runner: single-flight function panicked")
+
+// ReserveWorkers does nothing: each timing simulation runs on its caller's
+// goroutine, so there is no worker budget to claim. The name remains, with
+// ReleaseWorkers, because the benchmark program in perfbench/ calls it;
+// drop both together with those calls.
+func ReserveWorkers(n int) {}
+
+// ReleaseWorkers does nothing; see ReserveWorkers.
+func ReleaseWorkers(n int) {}

@@ -85,69 +85,6 @@ type Activity struct {
 	ThreadsLaunched    uint64
 }
 
-// addScalars accumulates every scalar counter of o into a. The per-core
-// and per-cluster slices are deliberately excluded: parallel core stepping
-// gives each worker a private scalar shard merged here once per cycle,
-// while the sliced counters are written at disjoint indices by the core's
-// owning worker directly. TestActivityAddScalarsCoversEveryField keeps
-// this list exhaustive when counters are added.
-func (a *Activity) addScalars(o *Activity) {
-	a.Cycles += o.Cycles
-	a.ICacheReads += o.ICacheReads
-	a.Decodes += o.Decodes
-	a.WSTReads += o.WSTReads
-	a.WSTWrites += o.WSTWrites
-	a.IBufReads += o.IBufReads
-	a.IBufWrites += o.IBufWrites
-	a.SchedArbs += o.SchedArbs
-	a.SBSearches += o.SBSearches
-	a.SBWrites += o.SBWrites
-	a.ReconvReads += o.ReconvReads
-	a.ReconvPushes += o.ReconvPushes
-	a.ReconvPops += o.ReconvPops
-	a.RFBankReads += o.RFBankReads
-	a.RFBankWrites += o.RFBankWrites
-	a.OCWrites += o.OCWrites
-	a.OperandXbar += o.OperandXbar
-	a.IssuedInstrs += o.IssuedInstrs
-	a.IntWarpInstrs += o.IntWarpInstrs
-	a.FPWarpInstrs += o.FPWarpInstrs
-	a.SFUWarpInstrs += o.SFUWarpInstrs
-	a.MemWarpInstrs += o.MemWarpInstrs
-	a.CtrlWarpInstrs += o.CtrlWarpInstrs
-	a.IntThreadInstrs += o.IntThreadInstrs
-	a.FPThreadInstrs += o.FPThreadInstrs
-	a.SFUThreadInstrs += o.SFUThreadInstrs
-	a.AGUAddresses += o.AGUAddresses
-	a.CoalescerQueries += o.CoalescerQueries
-	a.CoalescedReqs += o.CoalescedReqs
-	a.PRTWrites += o.PRTWrites
-	a.SMemAccesses += o.SMemAccesses
-	a.SMemConflicts += o.SMemConflicts
-	a.L1Reads += o.L1Reads
-	a.L1Writes += o.L1Writes
-	a.L1Misses += o.L1Misses
-	a.ConstReads += o.ConstReads
-	a.ConstMisses += o.ConstMisses
-	a.TexReads += o.TexReads
-	a.TexMisses += o.TexMisses
-	a.L2Reads += o.L2Reads
-	a.L2Writes += o.L2Writes
-	a.L2Misses += o.L2Misses
-	a.NoCFlits += o.NoCFlits
-	a.MCRequests += o.MCRequests
-	a.DRAMActivates += o.DRAMActivates
-	a.DRAMReadBursts += o.DRAMReadBursts
-	a.DRAMWriteBursts += o.DRAMWriteBursts
-	a.DRAMBusyCycles += o.DRAMBusyCycles
-	a.PCIeBytes += o.PCIeBytes
-	a.GlobalSchedCycles += o.GlobalSchedCycles
-	a.ResidentWarpCycles += o.ResidentWarpCycles
-	a.BlocksLaunched += o.BlocksLaunched
-	a.WarpsLaunched += o.WarpsLaunched
-	a.ThreadsLaunched += o.ThreadsLaunched
-}
-
 // Result bundles the activity with headline performance numbers.
 type Result struct {
 	Activity Activity

@@ -119,13 +119,12 @@ type coreState struct {
 	ageCounter uint64
 	orderBuf   []int // scratch for candidate ordering
 
-	// Warp-status bitmasks, maintained when MaxWarpsPerCore fits a word
-	// (useMasks): bit i of fetchable is set iff slot i is active with no
-	// buffered instruction and neither finished nor at a barrier; issuable
-	// is the same predicate with a buffered instruction. schedMask[s]
-	// selects scheduler s's congruence class (slot i belongs to scheduler
-	// i mod Schedulers). The field-scan loops remain for larger cores.
-	useMasks  bool
+	// Warp-status bitmasks (config.Validate caps MaxWarpsPerCore at 64, so
+	// one word covers every slot): bit i of fetchable is set iff slot i is
+	// active with no buffered instruction and neither finished nor at a
+	// barrier; issuable is the same predicate with a buffered instruction.
+	// schedMask[s] selects scheduler s's congruence class (slot i belongs to
+	// scheduler i mod Schedulers).
 	fetchable uint64
 	issuable  uint64
 	schedMask []uint64
@@ -168,12 +167,9 @@ func newCoreState(id int, cfg *config.GPU) (*coreState, error) {
 	for i := range c.lastIssued {
 		c.lastIssued[i] = -1
 	}
-	if cfg.MaxWarpsPerCore <= 64 {
-		c.useMasks = true
-		c.schedMask = make([]uint64, cfg.Schedulers)
-		for i := 0; i < cfg.MaxWarpsPerCore; i++ {
-			c.schedMask[i%cfg.Schedulers] |= 1 << i
-		}
+	c.schedMask = make([]uint64, cfg.Schedulers)
+	for i := 0; i < cfg.MaxWarpsPerCore; i++ {
+		c.schedMask[i%cfg.Schedulers] |= 1 << i
 	}
 	if cfg.L1KB > 0 {
 		l1, err := cache.New(cache.Config{
@@ -281,9 +277,7 @@ func (c *coreState) place(l *kernel.Launch, env *kernel.Env, smemBytes, regs int
 			ageStamp:    c.ageCounter,
 			pendingRegs: c.slots[slot].pendingRegs[:0],
 		}
-		if c.useMasks {
-			c.fetchable |= 1 << slot
-		}
+		c.fetchable |= 1 << slot
 		b.slots = append(b.slots, slot)
 		a.WSTWrites++ // warp status table entry initialised
 		a.WarpsLaunched++
@@ -315,7 +309,7 @@ func (c *coreState) maybeReleaseBarrier(b *blockRt) {
 			c.slots[slot].w.ReleaseBarrier()
 			// A released warp was fetch-blocked by AtBarrier with an empty
 			// instruction buffer; it becomes fetchable again.
-			if c.useMasks && !c.slots[slot].w.Finished {
+			if !c.slots[slot].w.Finished {
 				c.fetchable |= 1 << slot
 			}
 		}
@@ -331,10 +325,8 @@ func (c *coreState) retire(b *blockRt, smemBytes, regs int) {
 	for _, s := range b.slots {
 		c.warpPool = append(c.warpPool, c.slots[s].w)
 		c.slots[s] = warpSlot{pendingRegs: c.slots[s].pendingRegs[:0]}
-		if c.useMasks {
-			c.fetchable &^= 1 << s
-			c.issuable &^= 1 << s
-		}
+		c.fetchable &^= 1 << s
+		c.issuable &^= 1 << s
 	}
 	c.freeWarps += b.total
 	c.freeSMem += smemBytes
@@ -385,66 +377,35 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 func (c *coreState) fetchStage(now uint64, a *Activity) int {
 	n := len(c.slots)
 	fetched := 0
-	if c.useMasks {
-		// Mask-kept equivalent of the field scan below, skipping runs of
-		// ineligible slots in one step. The scan visits i = fetchRR + scan
-		// with the LIVE fetchRR (a successful fetch advances the whole
-		// window, exactly as the field loop does); rotating the fetchable
-		// mask so bit 0 is the scan head turns "next eligible slot" into a
-		// trailing-zero count. Nothing mutates eligibility mid-scan except
-		// our own fetches, so the jump sees what the field loop would.
-		for scan := 0; scan < n && fetched < c.cfg.Schedulers; {
-			f := c.fetchable
-			if f == 0 {
-				break
-			}
-			start := c.fetchRR + scan
-			if start >= n {
-				start -= n
-			}
-			rot := f>>start | f<<(n-start)
-			d := bits.TrailingZeros64(rot)
-			if scan+d >= n {
-				break // next eligible slot is past the scan budget
-			}
-			scan += d
-			i := start + d
-			if i >= n {
-				i -= n
-			}
-			sl := &c.slots[i]
-			sl.ibValid = true
-			sl.fetchedAt = now
-			c.fetchable &^= 1 << i
-			c.issuable |= 1 << i
-			fetched++
-			a.ICacheReads++
-			a.Decodes++
-			a.WSTReads++
-			a.WSTWrites++
-			a.IBufWrites++
-			c.fetchRR = i + 1
-			if c.fetchRR == n {
-				c.fetchRR = 0
-			}
-			scan++
+	// The scan visits i = fetchRR + scan with the LIVE fetchRR (a
+	// successful fetch advances the whole window), skipping runs of
+	// ineligible slots in one step: rotating the fetchable mask so bit 0 is
+	// the scan head turns "next eligible slot" into a trailing-zero count.
+	// Nothing mutates eligibility mid-scan except our own fetches.
+	for scan := 0; scan < n && fetched < c.cfg.Schedulers; {
+		f := c.fetchable
+		if f == 0 {
+			break
 		}
-		return fetched
-	}
-	for scan := 0; scan < n && fetched < c.cfg.Schedulers; scan++ {
-		// i derives from the *current* fetchRR each iteration (so a
-		// successful fetch advances the whole scan window) — the reduction
-		// replaces the original modulo, everything else is seed behaviour.
-		i := c.fetchRR + scan
+		start := c.fetchRR + scan
+		if start >= n {
+			start -= n
+		}
+		rot := f>>start | f<<(n-start)
+		d := bits.TrailingZeros64(rot)
+		if scan+d >= n {
+			break // next eligible slot is past the scan budget
+		}
+		scan += d
+		i := start + d
 		if i >= n {
 			i -= n
 		}
 		sl := &c.slots[i]
-		if !sl.active || sl.ibValid || sl.w.Finished || sl.w.AtBarrier {
-			continue
-		}
 		sl.ibValid = true
 		sl.fetchedAt = now
+		c.fetchable &^= 1 << i
+		c.issuable |= 1 << i
 		fetched++
 		a.ICacheReads++
 		a.Decodes++
@@ -455,6 +416,7 @@ func (c *coreState) fetchStage(now uint64, a *Activity) int {
 		if c.fetchRR == n {
 			c.fetchRR = 0
 		}
+		scan++
 	}
 	return fetched
 }
@@ -512,9 +474,8 @@ func (c *coreState) unitFreeAt(class kernel.Class, sched int) uint64 {
 
 // issueStage arbitrates and issues up to one instruction per scheduler,
 // considering warps in the order the configured scheduling policy dictates.
-func (st *stepper) issueStage(c *coreState, now uint64) error {
-	a := st.act
-	g := st.sim
+func (g *gpuSim) issueStage(c *coreState, now uint64) error {
+	a := &g.act
 	n := len(c.slots)
 	for sched := 0; sched < c.cfg.Schedulers; sched++ {
 		c.orderBuf = g.candidateOrder(c, sched, c.orderBuf)
@@ -540,12 +501,12 @@ func (st *stepper) issueStage(c *coreState, now uint64) error {
 				// Hazard-free but structurally blocked: the warp becomes
 				// issuable the moment the unit frees, so the fast-forward
 				// must not jump past that point.
-				if t := c.unitFreeAt(class, sched); t < st.structNext {
-					st.structNext = t
+				if t := c.unitFreeAt(class, sched); t < g.structNext {
+					g.structNext = t
 				}
 				continue
 			}
-			if err := st.issueInstr(c, sl, i, sched, in, d, class, now); err != nil {
+			if err := g.issueInstr(c, sl, i, sched, in, d, class, now); err != nil {
 				return err
 			}
 			c.issueRR[sched] = (i + 1) % n
@@ -557,25 +518,20 @@ func (st *stepper) issueStage(c *coreState, now uint64) error {
 }
 
 // issueInstr executes one instruction functionally and models its timing.
-func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *kernel.Instr, d *kernel.DInstr, class kernel.Class, now uint64) error {
-	a := st.act
+func (g *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *kernel.Instr, d *kernel.DInstr, class kernel.Class, now uint64) error {
+	a := &g.act
 	cfg := c.cfg
 
-	if st.stage {
-		sl.block.env.Capture = &st.capture
-	}
-	info, err := sl.w.Exec(st.sim.prog, sl.block.env)
+	info, err := sl.w.Exec(g.prog, sl.block.env)
 	if err != nil {
 		return fmt.Errorf("core %d slot %d: %w", c.id, slotIdx, err)
 	}
 
-	st.progress = true
+	g.progress = true
 	sl.ibValid = false
-	if c.useMasks {
-		c.issuable &^= 1 << slotIdx
-		if !sl.w.Finished && !sl.w.AtBarrier {
-			c.fetchable |= 1 << slotIdx
-		}
+	c.issuable &^= 1 << slotIdx
+	if !sl.w.Finished && !sl.w.AtBarrier {
+		c.fetchable |= 1 << slotIdx
 	}
 	a.IssuedInstrs++
 	a.IBufReads++
@@ -596,7 +552,6 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 
 	lanes := info.ActiveLanes
 	var latency uint64
-	recIdx := -1
 	hasWB := in.HasDst
 
 	switch class {
@@ -626,7 +581,7 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 	case kernel.ClassMem:
 		a.MemWarpInstrs++
 		var err error
-		latency, recIdx, err = st.memAccess(c, in, &info, now)
+		latency, err = g.memAccess(c, in, &info, now)
 		if err != nil {
 			return err
 		}
@@ -648,7 +603,7 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 
 	if class == kernel.ClassCtrl && !hasWB {
 		// Control instructions complete immediately; no pipeline slot held.
-		st.retireIfDone(c, sl.block)
+		g.retireIfDone(c, sl.block)
 		return nil
 	}
 
@@ -662,31 +617,14 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 	if isMem {
 		sl.memPending++
 	}
-	if recIdx >= 0 {
-		// The writeback latency depends on staged memory-system requests:
-		// the event is pushed by the barrier replay instead.
-		rec := &st.staged[recIdx]
-		rec.needEvent = true
-		rec.slot = slotIdx
-		rec.reg = in.Dst
-		rec.hasWB = hasWB
-		rec.lanes = lanes
-		return nil
-	}
 	c.events.push(wbEvent{cycle: now + latency, slot: slotIdx, reg: in.Dst, hasWB: hasWB, isMem: isMem, lanes: lanes})
 	return nil
 }
 
 // memAccess routes a memory instruction through the LDST unit: AGU, then the
-// space-specific path. It returns the dependency latency and, when the
-// latency depends on memory-system requests the stepper staged for the
-// cycle barrier, the index of the staged record (-1 otherwise — the caller
-// pushes the writeback event itself). Core-private structures — shared
-// memory banks, the L1/constant/texture caches, the LDST pipeline — are
-// always modelled inline; only traffic below the cores is staged.
-func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepInfo, now uint64) (uint64, int, error) {
-	a := st.act
-	g := st.sim
+// space-specific path. It returns the dependency latency.
+func (g *gpuSim) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepInfo, now uint64) (uint64, error) {
+	a := &g.act
 	cfg := c.cfg
 	lanes := info.ActiveLanes
 
@@ -703,22 +641,17 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		a.SMemAccesses += uint64(lanes)
 		a.SMemConflicts += uint64(extra)
 		c.ldstFree = now + aguCycles + uint64(extra)
-		return uint64(cfg.SMemLatency) + uint64(extra), -1, nil
+		return uint64(cfg.SMemLatency) + uint64(extra), nil
 
 	case kernel.SpaceConst, kernel.SpaceParam:
 		addrs := constDistinctAddrs(info, c.addrBuf[:0])
 		c.addrBuf = addrs
 		a.ConstReads += uint64(len(addrs))
 		worst := uint64(cfg.SMemLatency)
-		arenaStart := len(st.addrArena)
 		for _, ad := range addrs {
 			res := c.ccache.Access(uint64(ad), false)
 			if !res.Hit {
 				a.ConstMisses++
-				if st.stage {
-					st.addrArena = append(st.addrArena, ad)
-					continue
-				}
 				done := g.mem.globalSegment(now, constRegionBase+ad, cfg.ConstLineB, false, a)
 				if done-now > worst {
 					worst = done - now
@@ -726,18 +659,11 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(addrs)-1)
-		if miss := st.addrArena[arenaStart:]; st.stage && len(miss) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceConst, addrs: miss,
-				reqBytes: cfg.ConstLineB, now: now, floorLat: worst,
-			})
-			return 0, len(st.staged) - 1, nil
-		}
-		return worst, -1, nil
+		return worst, nil
 
 	case kernel.SpaceTexture:
 		if c.tcache == nil {
-			return 0, -1, fmt.Errorf("sim: texture access on %s, which has no texture cache configured", cfg.Name)
+			return 0, fmt.Errorf("sim: texture access on %s, which has no texture cache configured", cfg.Name)
 		}
 		// Per-lane addresses collapse to distinct cache lines (deduplicated
 		// in lane order, so cache behaviour is deterministic); hits are
@@ -761,15 +687,10 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		}
 		c.lineBuf = lines
 		worst := uint64(cfg.SMemLatency) + 12 // TMU addressing + filtering pipe
-		arenaStart := len(st.addrArena)
 		for _, line := range lines {
 			a.TexReads++
 			if res := c.tcache.Access(uint64(line), false); !res.Hit {
 				a.TexMisses++
-				if st.stage {
-					st.addrArena = append(st.addrArena, line)
-					continue
-				}
 				done := g.mem.globalSegment(now, line, cfg.TexLineB, false, a)
 				if done-now > worst {
 					worst = done - now
@@ -777,14 +698,7 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(lines))
-		if miss := st.addrArena[arenaStart:]; st.stage && len(miss) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceTexture, addrs: miss,
-				reqBytes: cfg.TexLineB, now: now, floorLat: worst,
-			})
-			return 0, len(st.staged) - 1, nil
-		}
-		return worst, -1, nil
+		return worst, nil
 
 	case kernel.SpaceGlobal:
 		write := in.Op == kernel.OpSt
@@ -794,68 +708,40 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		a.CoalescedReqs += uint64(len(segs))
 		a.PRTWrites += uint64(len(segs))
 		var worst uint64
-		arenaStart := len(st.addrArena)
 		for _, seg := range segs {
-			segDone := st.globalThroughL1(c, now, seg, write, a)
+			segDone := g.globalThroughL1(c, now, seg, write, a)
 			if segDone > worst {
 				worst = segDone
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(segs))
-		staged := st.addrArena[arenaStart:]
 		if write {
-			if len(staged) > 0 {
-				// Store traffic is staged for the memory system, but the
-				// dependency latency is the fixed hand-off cost: the caller
-				// pushes the event as usual.
-				st.staged = append(st.staged, stagedAccess{
-					c: c, space: kernel.SpaceGlobal, write: true, addrs: staged,
-					reqBytes: segmentBytes, now: now,
-				})
-			}
 			// Stores retire once handed to the memory system.
-			return 4, -1, nil
-		}
-		if len(staged) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceGlobal, addrs: staged,
-				reqBytes: segmentBytes, now: now, worstAbs: worst,
-			})
-			return 0, len(st.staged) - 1, nil
+			return 4, nil
 		}
 		if worst <= now {
 			worst = now + uint64(cfg.SMemLatency)
 		}
-		return worst - now, -1, nil
+		return worst - now, nil
 	}
-	return 0, -1, fmt.Errorf("sim: unhandled memory space %v", in.Space)
+	return 0, fmt.Errorf("sim: unhandled memory space %v", in.Space)
 }
 
 // globalThroughL1 sends one segment through the per-core L1 (when present)
-// and on to the shared memory system — or, when staging, appends it to the
-// stepper's arena for the barrier replay and returns 0 (the staged record
-// resolves the completion time).
-func (st *stepper) globalThroughL1(c *coreState, now uint64, seg uint32, write bool, a *Activity) uint64 {
-	forward := func() uint64 {
-		if st.stage {
-			st.addrArena = append(st.addrArena, seg)
-			return 0
-		}
-		return st.sim.mem.globalSegment(now, seg, segmentBytes, write, a)
-	}
+// and on to the shared memory system.
+func (g *gpuSim) globalThroughL1(c *coreState, now uint64, seg uint32, write bool, a *Activity) uint64 {
 	if c.l1 != nil {
 		res := c.l1.Access(uint64(seg), write)
 		if write {
 			a.L1Writes++
 			// Write-through: always forwarded.
-			return forward()
+			return g.mem.globalSegment(now, seg, segmentBytes, true, a)
 		}
 		a.L1Reads++
 		if res.Hit {
 			return now + uint64(c.cfg.SMemLatency) + 8
 		}
 		a.L1Misses++
-		return forward()
 	}
-	return forward()
+	return g.mem.globalSegment(now, seg, segmentBytes, write, a)
 }

@@ -57,9 +57,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 		{config.GT240, "", "vectorAdd"},
 		{config.GT240, "", "BlackScholes"},
 		{config.GT240, "", "bfs"},
+		{config.GT240, "", "mergeSort"},
 		{config.GTX580, "", "vectorAdd"},
 		{config.GTX580, "", "BlackScholes"},
 		{config.GTX580, "", "bfs"},
+		{config.GTX580, "", "mergeSort"},
 		// Non-default scheduling policies exercise different candidate
 		// orderings and arbitration counts during stalls.
 		{config.GTX580, sim.PolicyGTO, "vectorAdd"},

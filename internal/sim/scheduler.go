@@ -27,48 +27,24 @@ const (
 // consider this cycle, in priority order.
 func (g *gpuSim) candidateOrder(c *coreState, sched int, buf []int) []int {
 	buf = buf[:0]
-	n := len(c.slots)
-	mine := func(i int) bool { return i%c.cfg.Schedulers == sched }
-	issuable := func(sl *warpSlot) bool {
-		return sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier
-	}
 
-	// cand is the issuable mask restricted to this scheduler's slots; the
-	// mask-kept paths below iterate its set bits (ascending slot order,
-	// matching the field-scan loops they replace) instead of re-deriving
-	// the predicate per slot.
-	var cand uint64
-	if c.useMasks {
-		cand = c.issuable & c.schedMask[sched]
-		if cand == 0 {
-			return buf
-		}
+	// cand is the issuable mask restricted to this scheduler's slots; every
+	// policy iterates its set bits in ascending slot order.
+	cand := c.issuable & c.schedMask[sched]
+	if cand == 0 {
+		return buf
 	}
 
 	switch g.policy {
 	case PolicyGTO:
+		// Greedy: last-issued warp first, then the others oldest first.
 		last := c.lastIssued[sched]
-		if c.useMasks {
-			// Greedy: last-issued warp first, then the others ascending
-			// (the sort below orders them by age).
-			if last >= 0 && cand&(1<<last) != 0 {
-				buf = append(buf, last)
-			}
-			for m := cand; m != 0; m &= m - 1 {
-				if i := bits.TrailingZeros64(m); i != last {
-					buf = append(buf, i)
-				}
-			}
-		} else {
-			// Greedy: last-issued warp first.
-			if last >= 0 && mine(last) && issuable(&c.slots[last]) {
-				buf = append(buf, last)
-			}
-			// Then all other issuable warps, oldest first.
-			for i := 0; i < n; i++ {
-				if i != last && mine(i) && issuable(&c.slots[i]) {
-					buf = append(buf, i)
-				}
+		if last >= 0 && cand&(1<<last) != 0 {
+			buf = append(buf, last)
+		}
+		for m := cand; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); i != last {
+				buf = append(buf, i)
 			}
 		}
 		rest := buf
@@ -85,25 +61,12 @@ func (g *gpuSim) candidateOrder(c *coreState, sched int, buf []int) []int {
 		// The two sets live in reusable per-core buffers.
 		k := g.activeSet
 		active, pending := c.tlActive[:0], c.tlPend[:0]
-		if c.useMasks {
-			for m := cand; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				if c.slots[i].memPending > 0 {
-					pending = append(pending, i)
-				} else {
-					active = append(active, i)
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if !mine(i) || !issuable(&c.slots[i]) {
-					continue
-				}
-				if c.slots[i].memPending > 0 {
-					pending = append(pending, i)
-				} else {
-					active = append(active, i)
-				}
+		for m := cand; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if c.slots[i].memPending > 0 {
+				pending = append(pending, i)
+			} else {
+				active = append(active, i)
 			}
 		}
 		sort.Slice(active, func(a, b int) bool {
@@ -129,44 +92,22 @@ func (g *gpuSim) candidateOrder(c *coreState, sched int, buf []int) []int {
 		return buf
 
 	default: // PolicyRR
-		// Hot path: visit only this scheduler's slots (i ≡ sched mod S),
-		// starting at the rotating priority pointer, without closure calls
-		// or per-step modulo. Order matches a full (issueRR+scan)%n sweep
-		// filtered to this scheduler's congruence class.
+		// Rotating priority: this scheduler's candidates at or after its
+		// first slot at or past the priority pointer, ascending, then the
+		// wrapped remainder. The class has no members in [rr, first), so
+		// cand&^hi is exactly the class's candidates below rr.
 		S := c.cfg.Schedulers
 		rr := c.issueRR[sched]
-		if rr >= n {
+		if rr >= len(c.slots) {
 			rr = 0
 		}
 		first := rr + ((sched-rr)%S+S)%S
-		if c.useMasks {
-			// Candidates at or after the priority pointer's first class
-			// slot, ascending, then the wrapped remainder. The class has no
-			// members in [rr, first), so cand&^hi == the class's candidates
-			// below rr — exactly the field loop's second window.
-			var hi uint64
-			if first < 64 {
-				hi = cand >> first << first
-			}
-			for m := hi; m != 0; m &= m - 1 {
-				buf = append(buf, bits.TrailingZeros64(m))
-			}
-			for m := cand &^ hi; m != 0; m &= m - 1 {
-				buf = append(buf, bits.TrailingZeros64(m))
-			}
-			return buf
+		hi := cand >> first << first // Go shifts of 64 or more yield 0
+		for m := hi; m != 0; m &= m - 1 {
+			buf = append(buf, bits.TrailingZeros64(m))
 		}
-		for i := first; i < n; i += S {
-			sl := &c.slots[i]
-			if sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier {
-				buf = append(buf, i)
-			}
-		}
-		for i := sched; i < rr; i += S {
-			sl := &c.slots[i]
-			if sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier {
-				buf = append(buf, i)
-			}
+		for m := cand &^ hi; m != 0; m &= m - 1 {
+			buf = append(buf, bits.TrailingZeros64(m))
 		}
 		return buf
 	}

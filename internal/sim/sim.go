@@ -5,7 +5,6 @@ import (
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
-	"gpusimpow/internal/runner"
 )
 
 // GPU is the cycle-level simulator instance for one configuration.
@@ -41,11 +40,6 @@ type gpuSim struct {
 	// hoisted once per run for the issue hot path.
 	prog *kernel.Program
 	dec  []kernel.DInstr
-
-	// seq is the single stepper of the sequential path; pool is the worker
-	// set of the parallel path. Exactly one is non-nil per run.
-	seq  *stepper
-	pool *workerPool
 
 	policy    string
 	activeSet int
@@ -132,17 +126,6 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 	s.prog = l.Prog
 	s.dec = l.Prog.Decoded()
 
-	workers, reserved := resolveSimWorkers(cfg)
-	if reserved > 0 {
-		defer runner.ReleaseWorkers(reserved)
-	}
-	if workers > 1 {
-		s.pool = newWorkerPool(s, workers)
-		defer s.pool.stop()
-	} else {
-		s.seq = newStepper(s, false)
-	}
-
 	if err := s.run(); err != nil {
 		return nil, err
 	}
@@ -176,18 +159,22 @@ func (s *gpuSim) run() error {
 		arbs0, searches0 := s.act.SchedArbs, s.act.SBSearches
 
 		s.busyCores = s.busyCores[:0]
-		if s.pool != nil {
-			if err := s.stepParallel(cycle); err != nil {
+		for _, c := range s.cores {
+			if !c.residentWarps() && len(c.events) == 0 {
+				continue
+			}
+			s.busyCores = append(s.busyCores, c.id)
+			if c.drainEvents(cycle, &s.act) > 0 {
+				s.progress = true
+			}
+			s.drainRetirements(c)
+			if c.fetchStage(cycle, &s.act) > 0 {
+				s.progress = true
+			}
+			if err := s.issueStage(c, cycle); err != nil {
 				return err
 			}
-		} else {
-			st := s.seq
-			st.reset()
-			st.stepRange(0, len(s.cores), cycle)
-			if st.err != nil {
-				return st.err
-			}
-			s.mergeStepper(st)
+			s.act.CoreBusyCycles[c.id]++
 		}
 		anyBusy := len(s.busyCores) > 0
 
@@ -262,6 +249,34 @@ func (s *gpuSim) nextEventCycle(now uint64) uint64 {
 		return now
 	}
 	return next
+}
+
+// retireIfDone frees a block once all warps finished and all in-flight
+// instructions drained, keeping the incremental occupancy counters current.
+// It reports whether the block retired.
+func (s *gpuSim) retireIfDone(c *coreState, b *blockRt) bool {
+	if b.finished < b.total || b.outstanding != 0 {
+		return false
+	}
+	c.retire(b, s.blockSMem, s.blockRegs)
+	s.retired++
+	s.resident -= b.total
+	s.clusterBlocks[c.cluster]--
+	if !c.residentWarps() {
+		s.clusterCores[c.cluster]--
+	}
+	s.progress = true
+	return true
+}
+
+// drainRetirements retires any blocks that completed via event drains.
+func (s *gpuSim) drainRetirements(c *coreState) {
+	for i := 0; i < len(c.blocks); {
+		if s.retireIfDone(c, c.blocks[i]) {
+			continue // retire spliced the slice
+		}
+		i++
+	}
 }
 
 // dispatch hands pending blocks to cores, filling empty clusters before
