@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench baseline bench-compare ci-bench ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint build test race bench bench-sim baseline bench-compare ci-bench ci-service ci-restart ci-fleet fmt-check golden-update profile
 
 ci: fmt-check vet lint build race ci-bench ci-service ci-restart ci-fleet
 
@@ -76,6 +76,11 @@ race:
 # Quick benchmark pass over the whole harness (one iteration each).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .
+
+# Repeatable simulator timings: every BenchmarkSim* row ten times, for
+# medians (docs/PERFORMANCE.md §4 reports them).
+bench-sim:
+	$(GO) test -bench='^BenchmarkSim' -benchmem -count=10 -run=NONE .
 
 # Regenerate BENCH_BASELINE.json (see docs/PERFORMANCE.md).
 baseline:

@@ -81,16 +81,12 @@ type warpSlot struct {
 	w      *kernel.Warp
 	block  *blockRt
 
-	ibValid   bool
-	fetchedAt uint64
-
 	pendingN    int
 	pendingRegs []uint8 // scoreboard: destination registers in flight
 
-	// ageStamp orders warps by placement for GTO/two-level policies.
-	ageStamp uint64
 	// memPending counts outstanding memory instructions (two-level
-	// scheduler demotes warps waiting on memory).
+	// scheduler demotes warps waiting on memory; coreState.memWait mirrors
+	// memPending > 0).
 	memPending int
 }
 
@@ -116,8 +112,9 @@ type coreState struct {
 	fetchRR    int
 	issueRR    []int
 	lastIssued []int // per scheduler: slot that issued last (GTO greediness)
-	ageCounter uint64
-	orderBuf   []int // scratch for candidate ordering
+	// byAge lists the occupied slots in placement order, oldest first: the
+	// age order of the GTO and two-level policies.
+	byAge []int
 
 	// Warp-status bitmasks (config.Validate caps MaxWarpsPerCore at 64, so
 	// one word covers every slot): bit i of fetchable is set iff slot i is
@@ -128,6 +125,22 @@ type coreState struct {
 	fetchable uint64
 	issuable  uint64
 	schedMask []uint64
+
+	// Issue-side bitmasks, meaningful on issuable slots only and kept by
+	// refresh/unbuffer: ready holds the slots whose buffered instruction is
+	// hazard-free; aluMask, sfuMask and memMask hold the slots whose buffered
+	// instruction needs the scheduler's SP pipeline, the SFU or the LDST
+	// unit (a control instruction sets none). fetchedNow holds the slots
+	// fetched this cycle, which may not issue before the next.
+	ready      uint64
+	aluMask    uint64
+	sfuMask    uint64
+	memMask    uint64
+	fetchedNow uint64
+	// memWait holds the slots with a memory instruction in flight.
+	memWait uint64
+
+	dec []kernel.DInstr // the running program's decoded instruction table
 
 	// Retired warps, block contexts and block runtimes recycle through
 	// per-core LIFO pools, so steady-state dispatch allocates nothing but
@@ -148,20 +161,21 @@ type coreState struct {
 	addrBuf  []uint32 // distinct constant addresses
 	lineBuf  []uint32 // distinct texture lines
 	tlActive []int    // two-level scheduler active set
-	tlPend   []int    // two-level scheduler pending set
 }
 
-func newCoreState(id int, cfg *config.GPU) (*coreState, error) {
+func newCoreState(id int, cfg *config.GPU, dec []kernel.DInstr) (*coreState, error) {
 	c := &coreState{
 		id:        id,
 		cluster:   id / cfg.CoresPerCluster,
 		cfg:       cfg,
+		dec:       dec,
 		slots:     make([]warpSlot, cfg.MaxWarpsPerCore),
 		freeWarps: cfg.MaxWarpsPerCore,
 		freeSMem:  cfg.SharedMemPerCoreKB * 1024,
 		freeRegs:  cfg.RegsPerCore,
 		spFree:    make([]uint64, cfg.Schedulers),
 		issueRR:   make([]int, cfg.Schedulers),
+		byAge:     make([]int, 0, cfg.MaxWarpsPerCore),
 	}
 	c.lastIssued = make([]int, cfg.Schedulers)
 	for i := range c.lastIssued {
@@ -269,15 +283,14 @@ func (c *coreState) place(l *kernel.Launch, env *kernel.Env, smemBytes, regs int
 			lanes = rem
 		}
 		slot := c.findFreeSlot()
-		c.ageCounter++
 		c.slots[slot] = warpSlot{
 			active:      true,
 			w:           c.takeWarp(i, lanes, l.Prog.NumRegs),
 			block:       b,
-			ageStamp:    c.ageCounter,
 			pendingRegs: c.slots[slot].pendingRegs[:0],
 		}
 		c.fetchable |= 1 << slot
+		c.byAge = append(c.byAge, slot)
 		b.slots = append(b.slots, slot)
 		a.WSTWrites++ // warp status table entry initialised
 		a.WarpsLaunched++
@@ -322,12 +335,22 @@ func (c *coreState) maybeReleaseBarrier(b *blockRt) {
 // array survives the reset (it is empty — the block had no outstanding
 // instructions — but its capacity is reused by the next occupant).
 func (c *coreState) retire(b *blockRt, smemBytes, regs int) {
+	var gone uint64
 	for _, s := range b.slots {
 		c.warpPool = append(c.warpPool, c.slots[s].w)
 		c.slots[s] = warpSlot{pendingRegs: c.slots[s].pendingRegs[:0]}
-		c.fetchable &^= 1 << s
-		c.issuable &^= 1 << s
+		gone |= 1 << s
 	}
+	c.fetchable &^= gone
+	c.memWait &^= gone
+	c.unbuffer(gone)
+	kept := c.byAge[:0]
+	for _, s := range c.byAge {
+		if gone&(1<<s) == 0 {
+			kept = append(kept, s)
+		}
+	}
+	c.byAge = kept
 	c.freeWarps += b.total
 	c.freeSMem += smemBytes
 	c.freeRegs += regs
@@ -357,6 +380,9 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 		sl.block.outstanding--
 		if ev.isMem && sl.memPending > 0 {
 			sl.memPending--
+			if sl.memPending == 0 {
+				c.memWait &^= 1 << ev.slot
+			}
 		}
 		if ev.hasWB {
 			a.RFBankWrites++
@@ -368,15 +394,21 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 				}
 			}
 		}
+		// A drain only ever clears hazards, so a slot already ready stays
+		// ready; a buffered, blocked one may have just become ready.
+		if (c.issuable&^c.ready)&(1<<ev.slot) != 0 {
+			c.refresh(ev.slot)
+		}
 	}
 	return drained
 }
 
 // fetchStage models instruction fetch + decode: up to Schedulers warps per
 // cycle refill their instruction buffer slot. It returns the fetch count.
-func (c *coreState) fetchStage(now uint64, a *Activity) int {
+func (c *coreState) fetchStage(a *Activity) int {
 	n := len(c.slots)
 	fetched := 0
+	c.fetchedNow = 0
 	// The scan visits i = fetchRR + scan with the LIVE fetchRR (a
 	// successful fetch advances the whole window), skipping runs of
 	// ineligible slots in one step: rotating the fetchable mask so bit 0 is
@@ -401,11 +433,10 @@ func (c *coreState) fetchStage(now uint64, a *Activity) int {
 		if i >= n {
 			i -= n
 		}
-		sl := &c.slots[i]
-		sl.ibValid = true
-		sl.fetchedAt = now
 		c.fetchable &^= 1 << i
 		c.issuable |= 1 << i
+		c.fetchedNow |= 1 << i
+		c.refresh(i)
 		fetched++
 		a.ICacheReads++
 		a.Decodes++
@@ -443,84 +474,117 @@ func (c *coreState) hazard(sl *warpSlot, d *kernel.DInstr) bool {
 	return false
 }
 
-// unitFree checks structural availability for the instruction class.
-func (c *coreState) unitFree(class kernel.Class, sched int, now uint64) bool {
-	switch class {
+// refresh recomputes slot i's ready and unit-class bits from its buffered
+// instruction. Between fetch and issue a warp's PC is fixed and its hazard
+// can change only when one of its own writebacks drains, so fetchStage and
+// drainEvents are the only callers, and this is the only caller of hazard.
+func (c *coreState) refresh(i int) {
+	sl := &c.slots[i]
+	d := &c.dec[sl.w.PC()]
+	bit := uint64(1) << i
+	switch d.Class {
 	case kernel.ClassInt, kernel.ClassFP:
-		return c.spFree[sched] <= now
+		c.aluMask |= bit
 	case kernel.ClassSFU:
-		return c.sfuFree <= now
+		c.sfuMask |= bit
 	case kernel.ClassMem:
-		return c.ldstFree <= now
-	default:
-		return true
+		c.memMask |= bit
+	}
+	if c.hazard(sl, d) {
+		c.ready &^= bit
+	} else {
+		c.ready |= bit
 	}
 }
 
-// unitFreeAt returns the cycle the instruction class's unit accepts the next
-// warp — the wake-up time of a warp blocked only structurally.
-func (c *coreState) unitFreeAt(class kernel.Class, sched int) uint64 {
-	switch class {
-	case kernel.ClassInt, kernel.ClassFP:
-		return c.spFree[sched]
-	case kernel.ClassSFU:
-		return c.sfuFree
-	case kernel.ClassMem:
-		return c.ldstFree
-	default:
-		return 0
-	}
+// unbuffer clears the issuable, ready and unit-class bits of the given
+// slots: their instruction buffers emptied (issue) or they left (retire).
+func (c *coreState) unbuffer(m uint64) {
+	c.issuable &^= m
+	c.ready &^= m
+	c.aluMask &^= m
+	c.sfuMask &^= m
+	c.memMask &^= m
 }
 
 // issueStage arbitrates and issues up to one instruction per scheduler,
 // considering warps in the order the configured scheduling policy dictates.
+// The winner is the first eligible slot in that order that is ready and
+// whose unit is free; every eligible slot the order visits up to it costs
+// one scoreboard search, and every ready one among them that found its unit
+// busy bounds the fast-forward (structNext). Both are mask arithmetic: no
+// candidate but the winner is decoded.
 func (g *gpuSim) issueStage(c *coreState, now uint64) error {
 	a := &g.act
 	n := len(c.slots)
 	for sched := 0; sched < c.cfg.Schedulers; sched++ {
-		c.orderBuf = g.candidateOrder(c, sched, c.orderBuf)
-		arbitrated := false
-		for _, i := range c.orderBuf {
-			sl := &c.slots[i]
-			if sl.fetchedAt >= now {
-				continue
-			}
-			if !arbitrated {
-				arbitrated = true
-				a.SchedArbs++
-			}
-			pc := sl.w.PC()
-			in := &g.prog.Instrs[pc]
-			d := &g.dec[pc]
-			a.SBSearches++
-			if c.hazard(sl, d) {
-				continue
-			}
-			class := d.Class
-			if !c.unitFree(class, sched, now) {
-				// Hazard-free but structurally blocked: the warp becomes
-				// issuable the moment the unit frees, so the fast-forward
-				// must not jump past that point.
-				if t := c.unitFreeAt(class, sched); t < g.structNext {
-					g.structNext = t
-				}
-				continue
-			}
-			if err := g.issueInstr(c, sl, i, sched, in, d, class, now); err != nil {
-				return err
-			}
-			c.issueRR[sched] = (i + 1) % n
-			c.lastIssued[sched] = i
-			break // one issue per scheduler per cycle
+		cand := c.issuable & c.schedMask[sched]
+		elig := cand &^ c.fetchedNow
+		if elig == 0 {
+			continue
 		}
+		a.SchedArbs++
+
+		free := ^(c.aluMask | c.sfuMask | c.memMask) // control needs no unit
+		if c.spFree[sched] <= now {
+			free |= c.aluMask
+		}
+		if c.sfuFree <= now {
+			free |= c.sfuMask
+		}
+		if c.ldstFree <= now {
+			free |= c.memMask
+		}
+		pick := elig & c.ready & free
+
+		var win int
+		var visited uint64
+		switch g.policy {
+		case PolicyGTO:
+			win, visited = c.gtoPick(sched, elig, pick)
+		case PolicyTwoLevel:
+			win, visited = c.twoLevelPick(sched, g.activeSet, cand, elig, pick)
+		default:
+			win, visited = c.rrPick(sched, elig, pick)
+		}
+		a.SBSearches += uint64(bits.OnesCount64(visited))
+
+		// Hazard-free but structurally blocked warps ahead of the winner
+		// become issuable the moment their unit frees, so the fast-forward
+		// must not jump past that point.
+		if blocked := visited & c.ready &^ free; blocked != 0 {
+			if blocked&c.aluMask != 0 && c.spFree[sched] < g.structNext {
+				g.structNext = c.spFree[sched]
+			}
+			if blocked&c.sfuMask != 0 && c.sfuFree < g.structNext {
+				g.structNext = c.sfuFree
+			}
+			if blocked&c.memMask != 0 && c.ldstFree < g.structNext {
+				g.structNext = c.ldstFree
+			}
+		}
+		if win < 0 {
+			continue
+		}
+
+		if err := g.issueInstr(c, win, sched, now); err != nil {
+			return err
+		}
+		c.issueRR[sched] = (win + 1) % n
+		c.lastIssued[sched] = win
 	}
 	return nil
 }
 
-// issueInstr executes one instruction functionally and models its timing.
-func (g *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *kernel.Instr, d *kernel.DInstr, class kernel.Class, now uint64) error {
+// issueInstr executes slot slotIdx's buffered instruction functionally and
+// models its timing.
+func (g *gpuSim) issueInstr(c *coreState, slotIdx, sched int, now uint64) error {
 	a := &g.act
 	cfg := c.cfg
+	sl := &c.slots[slotIdx]
+	pc := sl.w.PC()
+	in, d := &g.prog.Instrs[pc], &c.dec[pc]
+	class := d.Class
 
 	info, err := sl.w.Exec(g.prog, sl.block.env)
 	if err != nil {
@@ -528,8 +592,7 @@ func (g *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	}
 
 	g.progress = true
-	sl.ibValid = false
-	c.issuable &^= 1 << slotIdx
+	c.unbuffer(1 << slotIdx)
 	if !sl.w.Finished && !sl.w.AtBarrier {
 		c.fetchable |= 1 << slotIdx
 	}
@@ -616,6 +679,7 @@ func (g *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	isMem := class == kernel.ClassMem
 	if isMem {
 		sl.memPending++
+		c.memWait |= 1 << slotIdx
 	}
 	c.events.push(wbEvent{cycle: now + latency, slot: slotIdx, reg: in.Dst, hasWB: hasWB, isMem: isMem, lanes: lanes})
 	return nil

@@ -63,9 +63,17 @@ func TestFastForwardEquivalence(t *testing.T) {
 		{config.GTX580, "", "bfs"},
 		{config.GTX580, "", "mergeSort"},
 		// Non-default scheduling policies exercise different candidate
-		// orderings and arbitration counts during stalls.
+		// orderings and arbitration counts during stalls. GT240 has no
+		// scoreboard, so its cases cover the blocking-issue hazard (any
+		// outstanding instruction stalls the warp) under age order.
+		{config.GT240, sim.PolicyGTO, "bfs"},
+		{config.GT240, sim.PolicyTwoLevel, "bfs"},
+		{config.GT240, sim.PolicyGTO, "mergeSort"},
+		{config.GT240, sim.PolicyTwoLevel, "mergeSort"},
 		{config.GTX580, sim.PolicyGTO, "vectorAdd"},
 		{config.GTX580, sim.PolicyTwoLevel, "vectorAdd"},
+		{config.GTX580, sim.PolicyGTO, "bfs"},
+		{config.GTX580, sim.PolicyTwoLevel, "bfs"},
 	}
 	for _, tc := range cases {
 		fast := tc.gpu()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Warp scheduling policies. The paper's baseline is the rotating-priority
 // (round-robin) scheduler of Section III-C1; its conclusion proposes
@@ -23,92 +20,101 @@ const (
 	PolicyTwoLevel = "twolevel"
 )
 
-// candidateOrder fills buf with the slot indices scheduler `sched` should
-// consider this cycle, in priority order.
-func (g *gpuSim) candidateOrder(c *coreState, sched int, buf []int) []int {
-	buf = buf[:0]
+// Each policy's picker returns the issuing slot (-1 if none) and the slots
+// of elig its priority order visits up to and including that slot (all of
+// elig when nothing can issue); issueStage derives the scheduler's
+// scoreboard searches and structural wake-up from that set. elig is the
+// scheduler's issuable slots minus those fetched this cycle, and pick, a
+// subset of elig, the ones that may issue now (ready with a free unit).
 
-	// cand is the issuable mask restricted to this scheduler's slots; every
-	// policy iterates its set bits in ascending slot order.
-	cand := c.issuable & c.schedMask[sched]
-	if cand == 0 {
-		return buf
+// rrPick is the rotating-priority order: the slots at or after the
+// scheduler's priority pointer, ascending, then the wrapped remainder
+// (elig holds this scheduler's slots only, so starting at the pointer is
+// starting at its first own slot at or past it). The winner is a
+// trailing-zero count, the visited set two masks.
+func (c *coreState) rrPick(sched int, elig, pick uint64) (int, uint64) {
+	hi := ^uint64(0) << c.issueRR[sched]
+	if m := pick & hi; m != 0 {
+		w := bits.TrailingZeros64(m)
+		return w, elig & hi & (^uint64(0) >> (63 - w))
 	}
-
-	switch g.policy {
-	case PolicyGTO:
-		// Greedy: last-issued warp first, then the others oldest first.
-		last := c.lastIssued[sched]
-		if last >= 0 && cand&(1<<last) != 0 {
-			buf = append(buf, last)
-		}
-		for m := cand; m != 0; m &= m - 1 {
-			if i := bits.TrailingZeros64(m); i != last {
-				buf = append(buf, i)
-			}
-		}
-		rest := buf
-		if len(buf) > 0 && buf[0] == last {
-			rest = buf[1:]
-		}
-		sort.Slice(rest, func(a, b int) bool {
-			return c.slots[rest[a]].ageStamp < c.slots[rest[b]].ageStamp
-		})
-		return buf
-
-	case PolicyTwoLevel:
-		// Active set: the K oldest issuable warps not waiting on memory.
-		// The two sets live in reusable per-core buffers.
-		k := g.activeSet
-		active, pending := c.tlActive[:0], c.tlPend[:0]
-		for m := cand; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if c.slots[i].memPending > 0 {
-				pending = append(pending, i)
-			} else {
-				active = append(active, i)
-			}
-		}
-		sort.Slice(active, func(a, b int) bool {
-			return c.slots[active[a]].ageStamp < c.slots[active[b]].ageStamp
-		})
-		if len(active) > k {
-			pending = append(pending, active[k:]...)
-			active = active[:k]
-		}
-		// Round-robin within the active set, then the pending warps.
-		start := 0
-		for i, s := range active {
-			if s >= c.issueRR[sched] {
-				start = i
-				break
-			}
-		}
-		for i := 0; i < len(active); i++ {
-			buf = append(buf, active[(start+i)%len(active)])
-		}
-		buf = append(buf, pending...)
-		c.tlActive, c.tlPend = active, pending
-		return buf
-
-	default: // PolicyRR
-		// Rotating priority: this scheduler's candidates at or after its
-		// first slot at or past the priority pointer, ascending, then the
-		// wrapped remainder. The class has no members in [rr, first), so
-		// cand&^hi is exactly the class's candidates below rr.
-		S := c.cfg.Schedulers
-		rr := c.issueRR[sched]
-		if rr >= len(c.slots) {
-			rr = 0
-		}
-		first := rr + ((sched-rr)%S+S)%S
-		hi := cand >> first << first // Go shifts of 64 or more yield 0
-		for m := hi; m != 0; m &= m - 1 {
-			buf = append(buf, bits.TrailingZeros64(m))
-		}
-		for m := cand &^ hi; m != 0; m &= m - 1 {
-			buf = append(buf, bits.TrailingZeros64(m))
-		}
-		return buf
+	if pick != 0 {
+		w := bits.TrailingZeros64(pick)
+		return w, elig & (hi | ^uint64(0)>>(63-w))
 	}
+	return -1, elig
+}
+
+// gtoPick is greedy-then-oldest: the scheduler's last-issued warp first,
+// then the others oldest first.
+func (c *coreState) gtoPick(sched int, elig, pick uint64) (int, uint64) {
+	var visited uint64
+	if last := c.lastIssued[sched]; last >= 0 && elig&(1<<last) != 0 {
+		visited = 1 << last
+		if pick&visited != 0 {
+			return last, visited
+		}
+	}
+	return walkOrder(c.byAge, elig, pick, visited)
+}
+
+// twoLevelPick is Narasiman et al.'s two-level order. The active set is the
+// k oldest of cand (the scheduler's issuable slots, including those fetched
+// this cycle) not waiting on memory, taken round-robin from the priority
+// pointer; then the pending warps: the memory waiters in slot order, then
+// the active set's overflow oldest first.
+func (c *coreState) twoLevelPick(sched, k int, cand, elig, pick uint64) (int, uint64) {
+	running := cand &^ c.memWait
+	active := c.tlActive[:0]
+	overflow := len(c.byAge)
+	for j, i := range c.byAge {
+		if running&(1<<i) == 0 {
+			continue
+		}
+		if len(active) == k {
+			overflow = j
+			break
+		}
+		active = append(active, i)
+	}
+	c.tlActive = active
+
+	start := 0
+	for i, s := range active {
+		if s >= c.issueRR[sched] {
+			start = i
+			break
+		}
+	}
+	win, visited := walkOrder(active[start:], elig, pick, 0)
+	if win < 0 {
+		win, visited = walkOrder(active[:start], elig, pick, visited)
+	}
+	if win >= 0 {
+		return win, visited
+	}
+	if wait := cand & c.memWait; wait != 0 {
+		if m := pick & wait; m != 0 {
+			w := bits.TrailingZeros64(m)
+			return w, visited | elig&wait&(^uint64(0)>>(63-w))
+		}
+		visited |= elig & wait
+	}
+	return walkOrder(c.byAge[overflow:], elig, pick, visited)
+}
+
+// walkOrder visits the slots of order that are in elig but not yet in
+// visited, adding each to visited, and stops at the first one in pick.
+func walkOrder(order []int, elig, pick, visited uint64) (int, uint64) {
+	for _, i := range order {
+		bit := uint64(1) << i
+		if elig&^visited&bit == 0 {
+			continue
+		}
+		visited |= bit
+		if pick&bit != 0 {
+			return i, visited
+		}
+	}
+	return -1, visited
 }

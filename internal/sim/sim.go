@@ -36,10 +36,9 @@ type gpuSim struct {
 	global *kernel.GlobalMem
 	cmem   *kernel.ConstMem
 
-	// prog/dec are the running program and its decoded instruction table,
-	// hoisted once per run for the issue hot path.
+	// prog is the running program; every core holds its decoded
+	// instruction table (coreState.dec), built once per run.
 	prog *kernel.Program
-	dec  []kernel.DInstr
 
 	policy    string
 	activeSet int
@@ -102,8 +101,10 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 		return nil, err
 	}
 	s.mem = mem
+	s.prog = l.Prog
+	dec := l.Prog.Decoded()
 	for i := 0; i < cfg.NumCores(); i++ {
-		c, err := newCoreState(i, cfg)
+		c, err := newCoreState(i, cfg, dec)
 		if err != nil {
 			return nil, err
 		}
@@ -122,9 +123,6 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 
 	// Kernel launch traffic over PCIe: parameters + launch descriptor.
 	s.act.PCIeBytes += uint64(4*len(l.Params)) + 256
-
-	s.prog = l.Prog
-	s.dec = l.Prog.Decoded()
 
 	if err := s.run(); err != nil {
 		return nil, err
@@ -168,7 +166,7 @@ func (s *gpuSim) run() error {
 				s.progress = true
 			}
 			s.drainRetirements(c)
-			if c.fetchStage(cycle, &s.act) > 0 {
+			if c.fetchStage(&s.act) > 0 {
 				s.progress = true
 			}
 			if err := s.issueStage(c, cycle); err != nil {
@@ -357,9 +355,7 @@ func (s *gpuSim) result() *Result {
 		}
 	}
 
-	// DRAM active fraction feeds the GDDR background power split.
-	// Stored via method on demand by the power model; expose busy cycles.
-	a = r.Activity
+	// DRAMActiveFraction derives the GDDR background power split from this.
 	r.Activity.DRAMBusyCycles = s.mem.dram.totalBusy()
 	return r
 }
